@@ -80,10 +80,10 @@ bent the moment the blamed link is repaired; `blind` senders keep stale
 tags until the next failure flushes the cache. The delta is the E20
 repair-awareness experiment.
 
-engines: `sync` (default) visits the whole network every cycle; `event`
-wakes only the work that can progress. Statistics are identical either
-way — the event engine is a performance choice for low-load/large-N
-runs.
+engines: `sync` (default) steps every cycle, drawing one arrival trial
+per port but touching only busy switches and queues; `event` also skips
+cycles where nothing is due. Statistics are identical either way — the
+event engine is a performance choice for runs with long idle spans.
 
 workloads: `open` (default) is the Bernoulli open loop driven by
 `--load`; the others own injection (store-and-forward only, `--load`

@@ -149,6 +149,29 @@ pub trait Rng: RngCore {
 
 impl<R: RngCore + ?Sized> Rng for R {}
 
+/// The integer acceptance threshold of a Bernoulli(`p`) draw: for every
+/// generator state, `rng.gen_bool(p)` returns exactly
+/// `(rng.next_u64() >> 11) < bernoulli_threshold(p)`, consuming the same
+/// single draw — the form hot per-source loops use to skip the
+/// int-to-float conversion and the range assert on every trial.
+///
+/// Exactness: [`Rng::gen_bool`] tests `x · 2^-53 < p` for the 53-bit
+/// integer `x = next_u64() >> 11`. Both `x as f64` and the scaling by a
+/// power of two are exact, so the test is the real inequality
+/// `x < p · 2^53`. Scaling `p` by `2^53` is exact too (it only moves the
+/// exponent; even the smallest subnormal lands on a normal number), and
+/// for an integer `k` and a real `r`, `k < r ⇔ k < ceil(r)`. The result
+/// lies in `[0, 2^53]`, so the final conversion to `u64` is exact: `0`
+/// rejects every draw and `2^53` (at `p = 1`) accepts every draw.
+///
+/// # Panics
+///
+/// Panics unless `0.0 <= p <= 1.0` (the [`Rng::gen_bool`] contract).
+pub fn bernoulli_threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// In-place Fisher–Yates shuffling, mirroring `rand::seq::SliceRandom`.
 pub trait SliceRandom {
     /// Shuffles the slice uniformly at random.

@@ -1,27 +1,26 @@
-//! A dense arena of the *currently non-empty* link queues, for the
-//! event-driven engine.
+//! A dense arena of the *currently non-empty* link queues: the link
+//! buffers of both engines.
 //!
 //! [`crate::QueueArena`] lays every queue of the network out flat —
-//! `3 N n` ring buffers — which is ideal for the synchronous engine (the
-//! whole arena is touched every few cycles at moderate load) but is
-//! exactly wrong at low load on a large network: the handful of in-flight
-//! packets scatter their queue touches over tens of megabytes, and every
-//! hop becomes a chain of cache misses. `ActiveArena` keeps only the
-//! non-empty queues in a dense slab: a flat-index→dense-slot map
-//! activates a queue on its first push and releases the slot the moment
-//! it drains, so the working set is proportional to the packets in
-//! flight, not to the network.
+//! `3 N n` ring buffers — which must be allocated, zeroed and walked at
+//! the end of the run whatever the traffic, and at low load on a large
+//! network scatters the handful of in-flight packets' queue touches over
+//! tens of megabytes. `ActiveArena` keeps only the non-empty queues in a
+//! dense slab: a flat-index→dense-slot map activates a queue on its first
+//! push and releases the slot the moment it drains, so the working set
+//! is proportional to the packets in flight, not to the network, and the
+//! per-queue totals it keeps for the finisher are a few bytes each.
 //!
-//! The accounting contract is exact equality with [`crate::QueueArena`]:
-//! per-queue occupancy integrals, high-water marks, and carried counts
-//! are the same `u64`s the flat arena would have produced (episode sums
-//! folded into persistent per-queue totals on every drain; an idle span
-//! between episodes contributes length `0`, which is exactly what the
-//! flat arena's lazy flush would have credited), so the downstream
-//! floating-point statistics are bit-identical. That equality is what
-//! lets the event-driven engine reuse the synchronous engine's golden
-//! parity fixtures unchanged — enforced end to end by
-//! `tests/equivalence.rs`.
+//! The accounting contract is exact equality with [`crate::QueueArena`],
+//! which stays as the reference model: per-queue occupancy integrals,
+//! high-water marks, and carried counts are the same `u64`s the flat
+//! arena would have produced (episode sums folded into persistent
+//! per-queue totals on every drain; an idle span between episodes
+//! contributes length `0`, which is exactly what the flat arena's lazy
+//! flush would have credited), so the downstream floating-point
+//! statistics are bit-identical. The randomized operation soup below
+//! checks that equality directly; the parity goldens and
+//! `tests/equivalence.rs` check it end to end.
 
 use crate::packet::Packet;
 

@@ -1,26 +1,31 @@
-//! The synchronous simulation engine.
+//! The simulation engine: the synchronous cycle loop (the default) and
+//! the event-driven scheduling core that replays it.
 //!
-//! The per-cycle hot path is allocation-free in steady state: switching
-//! decisions come from a precomputed [`RouteLut`] (one byte per
-//! `(stage, switch, tag bit)`, blockage flags baked in), link buffers
-//! live in a flat [`QueueArena`] of fixed-capacity ring buffers indexed
-//! arithmetically by `(stage, switch, kind)` — the same layout as
-//! [`Link::flat_index`] — and candidate links are fixed-size inline
-//! arrays instead of heap-allocated lists. Per-switch occupancy counters
-//! let the advance loop skip empty switches (and whole empty stages)
-//! without changing the sequence of routing decisions or RNG draws, so
-//! statistics are bit-identical to the original nested-`Vec` engine
+//! The per-cycle hot path is allocation-free in steady state and, apart
+//! from the per-source Bernoulli draw, costs time proportional to the
+//! traffic rather than to the network: switching decisions come from a
+//! precomputed [`RouteLut`] (one byte per `(stage, switch, tag bit)`,
+//! blockage flags baked in); link buffers live in an [`ActiveArena`]
+//! that stores only the non-empty queues densely behind a flat map
+//! indexed by `(stage, switch, kind)` — the same layout as
+//! [`Link::flat_index`]; candidate links are fixed-size inline arrays
+//! instead of heap-allocated lists; per-switch occupancy counters let
+//! the advance loop skip empty switches (and whole empty stages); the
+//! arrival scan is one integer compare per source; and the finisher
+//! folds only the queues that ever held a packet. None of this changes
+//! the sequence of routing decisions, RNG draws or floating-point folds,
+//! so statistics are bit-identical to the original nested-`Vec` engine
 //! (enforced by `tests/parity.rs`).
 
 use crate::active::ActiveArena;
 use crate::event::{Event, EventQueue};
 use crate::packet::Packet;
-use crate::queue::{LaneArbitration, QueueArena, ReservationTable};
+use crate::queue::{LaneArbitration, ReservationTable};
 use crate::stats::SimStats;
 use iadm_core::lut::{kind_for, RouteLut};
 use iadm_core::{NetworkState, SwitchState, TsdtTag};
 use iadm_fault::{BlockageMap, FaultTimeline};
-use iadm_rng::{Rng, RngCore, StdRng};
+use iadm_rng::{bernoulli_threshold, Rng, RngCore, StdRng};
 use iadm_topology::{bit, Link, LinkKind, Size};
 use iadm_workload::{Injection, TrafficPattern, WorkloadSource, WorkloadSpec, NO_OP};
 use std::collections::VecDeque;
@@ -88,15 +93,19 @@ impl SimConfig {
 /// Both engines execute the *same* simulation — identical decision
 /// order, identical RNG draw order, identical floating-point fold order
 /// — so their statistics are byte-identical (the differential contract
-/// of `tests/equivalence.rs`). The synchronous engine pays O(network
-/// size) every cycle; the event-driven engine pays for the work that
-/// actually happens, which is what makes low-load runs on large
-/// networks affordable (the `BENCH_sim.json` headline of this axis).
+/// of `tests/equivalence.rs`). Both keep the link buffers in the same
+/// dense arena of non-empty queues, visit only busy stages, busy
+/// switches and waiting sources, and fold statistics over the touched
+/// queues alone.
+/// What the event-driven engine adds is idle-span skipping: a cycle
+/// with nothing due costs it nothing, while the synchronous engine
+/// still steps it and draws one Bernoulli trial per source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
-    /// Visit every stage, every waiting source, and every switch scan
-    /// position each cycle (the original engine; the statistics oracle
-    /// the event engine is differenced against).
+    /// Step every cycle: one arrival draw per source while load is
+    /// offered, then advance and admission over the busy parts of the
+    /// network only (the original engine; the statistics oracle the
+    /// event engine is differenced against).
     #[default]
     Synchronous,
     /// Wake exactly the stages, sources, and timelines that can make
@@ -281,31 +290,19 @@ enum Decision {
     Drop,
 }
 
-/// Uniform occupancy view over the three buffer backends a switching
-/// decision balances across: the flat FIFO [`QueueArena`]
-/// (store-and-forward, occupancy = queued packets), the
-/// [`ReservationTable`] (wormhole, occupancy = held lanes), and the event
-/// engine's dense [`ActiveArena`]. One [`PolicyCtx::decide`] body serves
-/// all three hot paths through this trait; monomorphization turns each
-/// instantiation back into direct calls, so the generated code — and the
-/// byte-exact statistics the parity goldens pin — match the three
-/// hand-specialized copies this replaced.
+/// Uniform occupancy view over the two buffer backends a switching
+/// decision balances across: the [`ActiveArena`] of packet queues
+/// (store-and-forward under either engine, occupancy = queued packets)
+/// and the [`ReservationTable`] (wormhole, occupancy = held lanes). One
+/// [`PolicyCtx::decide`] body serves both hot paths through this trait;
+/// monomorphization turns each instantiation back into direct calls, so
+/// the generated code — and the byte-exact statistics the parity goldens
+/// pin — match hand-specialized copies.
 trait BufferView {
     /// Current occupancy of buffer slot `q` (queue length, held lanes).
     fn occupancy(&self, q: usize) -> usize;
     /// Can slot `q` not accept another packet (or worm head)?
     fn is_full(&self, q: usize) -> bool;
-}
-
-impl BufferView for QueueArena {
-    #[inline]
-    fn occupancy(&self, q: usize) -> usize {
-        self.len(q)
-    }
-    #[inline]
-    fn is_full(&self, q: usize) -> bool {
-        QueueArena::is_full(self, q)
-    }
 }
 
 impl BufferView for ReservationTable {
@@ -334,7 +331,7 @@ impl BufferView for ActiveArena {
 /// field so the decision logic can mutate policy state (SSDT switch
 /// states, the RNG, reroute counters, sticky choices) while the caller
 /// still holds a shared borrow of whichever buffer backend is in play.
-/// Built inline by the three `decide*` wrappers; never stored.
+/// Built inline by the two `decide*` wrappers; never stored.
 struct PolicyCtx<'a> {
     policy: RoutingPolicy,
     n: usize,
@@ -354,9 +351,8 @@ impl PolicyCtx<'_> {
     /// Decides which output buffer of switch `sw` at `stage` a packet
     /// bound for `dest` (carrying TSDT state word `tag_state`, if any)
     /// enters. This is the single shared body behind
-    /// [`Simulator::decide`], [`Simulator::decide_worm`] and
-    /// [`Simulator::decide_active`] — the policy match lives here once,
-    /// parameterized over the occupancy backend.
+    /// [`Simulator::decide`] and [`Simulator::decide_worm`] — the policy
+    /// match lives here once, parameterized over the occupancy backend.
     fn decide<B: BufferView>(
         &mut self,
         buffers: &B,
@@ -689,15 +685,12 @@ impl TagCache {
 struct EventState {
     /// Pending work, ordered by `(cycle, within-cycle phase priority)`.
     queue: EventQueue,
-    /// The link buffers, stored densely by non-empty queue (replaces the
-    /// flat `QueueArena` on this engine; identical accounting).
-    active: ActiveArena,
     /// Per-output-switch accept counters, epoch-stamped so an `Advance`
     /// event gets a logically-zeroed array without an O(N) fill:
     /// `epoch << 8 | count`, read as 0 when the stamp is stale.
     accepted: Vec<u64>,
     /// Current accept-counter epoch (bumped once per `Advance` event,
-    /// mirroring the synchronous per-stage `accepted` fill).
+    /// mirroring the synchronous per-stage reset of `accepted`).
     epoch: u64,
     /// Per-stage cycle an `Advance(stage)` is already scheduled for
     /// (`u64::MAX` = none) — pushes are deduplicated against this stamp.
@@ -775,8 +768,10 @@ pub struct Simulator {
     /// never clones it — and a run built the ordinary way owns the sole
     /// reference, making `make_mut` free.
     lut: Arc<RouteLut>,
-    /// All link buffers; queue index = `Link::flat_index`.
-    queues: QueueArena,
+    /// All link buffers, stored densely by non-empty queue; queue index
+    /// = `Link::flat_index`. Empty (zero queues) in wormhole mode, where
+    /// links hold lanes instead.
+    queues: ActiveArena,
     /// Queued packets per `(stage, switch)` (all three kinds), letting the
     /// advance loop skip empty switches.
     switch_load: Vec<u32>,
@@ -791,7 +786,10 @@ pub struct Simulator {
     live_scratch: Vec<u32>,
     /// Queued packets per stage, letting the advance loop skip stages.
     stage_load: Vec<u64>,
-    /// Per-cycle accept counters, reused across cycles (no allocation).
+    /// Per-switch accept counters of the stage being advanced. All zero
+    /// between stages: each stage resets only the entries its live
+    /// switches could have bumped, so the reset costs O(traffic), not
+    /// O(N) (wormhole mode clears the whole array once per cycle).
     accepted: Vec<u8>,
     source_queues: Vec<VecDeque<Packet>>,
     /// One bit per source: set iff its source queue is non-empty, so the
@@ -973,7 +971,6 @@ impl Simulator {
             }
             Some(Box::new(EventState {
                 queue,
-                active: ActiveArena::new(Link::slot_count(size), config.queue_capacity),
                 accepted: vec![0; size.n()],
                 epoch: 0,
                 advance_sched: vec![u64::MAX; size.stages()],
@@ -991,17 +988,7 @@ impl Simulator {
                 ..SimStats::default()
             },
             lut,
-            // The event engine keeps its buffers in the dense
-            // `ActiveArena`; give it a zero-queue flat arena instead of a
-            // dead O(network) allocation.
-            queues: QueueArena::new(
-                if event.is_some() {
-                    0
-                } else {
-                    Link::slot_count(size)
-                },
-                config.queue_capacity,
-            ),
+            queues: ActiveArena::new(Link::slot_count(size), config.queue_capacity),
             switch_load: vec![0; size.stages() * size.n()],
             switch_bits: vec![0; size.stages() * size.n().div_ceil(64)],
             live_scratch: Vec::with_capacity(size.n()),
@@ -1078,6 +1065,8 @@ impl Simulator {
         );
         let size = self.config.size;
         self.stats.flits_per_packet = u64::from(flits);
+        // Links hold lanes, not packet buffers, in this mode.
+        self.queues = ActiveArena::new(0, self.config.queue_capacity);
         self.wormhole = Some(WormState {
             flits,
             reservations: ReservationTable::with_arbitration(
@@ -1425,8 +1414,8 @@ impl Simulator {
     /// enters. Takes the two routing-relevant fields instead of the whole
     /// packet so callers can peek them through a borrow without copying
     /// the queued packet. Thin wrapper over the shared
-    /// [`PolicyCtx::decide`] body, instantiated with the flat queue
-    /// arena.
+    /// [`PolicyCtx::decide`] body, instantiated with the queue arena
+    /// both engines share.
     fn decide(&mut self, stage: usize, sw: usize, dest: u32, tag_state: Option<u32>) -> Decision {
         let mut ctx = PolicyCtx {
             policy: self.policy,
@@ -1483,6 +1472,118 @@ impl Simulator {
         }
     }
 
+    /// The busy switches of `stage` in the rotated order the all-switch
+    /// scan visits them — `sw_offset, .., n-1, 0, .., sw_offset-1`,
+    /// skipping idle ones — in the reused scratch vector (callers hand it
+    /// back through `live_scratch`). The set is fixed for the whole stage
+    /// scan: only the *current* switch's load changes while it is being
+    /// processed.
+    ///
+    /// When the arena holds fewer live queues network-wide than the
+    /// stage's bitmap has words — a handful of packets on a large
+    /// network — walking the arena and sorting by rotated index is
+    /// cheaper than scanning the bitmap. Otherwise the bitmap's set bits
+    /// are walked with `trailing_zeros`: one iteration per busy switch
+    /// instead of `N` badly-predicted per-switch branches. Both gathers
+    /// produce the same list, so the decision sequence (and thus every
+    /// golden) does not depend on which one ran.
+    fn gather_live(&mut self, stage: usize, sw_offset: usize) -> Vec<u32> {
+        let n = self.config.size.n();
+        let row = stage * n;
+        let words = n.div_ceil(64);
+        let mut live = std::mem::take(&mut self.live_scratch);
+        live.clear();
+        if self.queues.live_count() <= words {
+            self.queues.for_each_live(|q| {
+                let sw_abs = q as usize / 3;
+                if (row..row + n).contains(&sw_abs) {
+                    live.push((sw_abs - row) as u32);
+                }
+            });
+            // A switch with several live kind-queues appears once per
+            // queue; equal rotated keys sort adjacent, so dedup collapses
+            // them.
+            let mask = n - 1;
+            live.sort_unstable_by_key(|&sw| (sw as usize).wrapping_sub(sw_offset) & mask);
+            live.dedup();
+            return live;
+        }
+        // Set bits from `sw_offset` to the end of the row, then the
+        // wrapped-around prefix: the start word is visited twice, high
+        // bits first and low bits last (`words` is a power of two).
+        let bits = &self.switch_bits[stage * words..(stage + 1) * words];
+        let (start_word, start_bit) = (sw_offset >> 6, sw_offset & 63);
+        for i in 0..=words {
+            let wi = (start_word + i) & (words - 1);
+            let mut w = bits[wi];
+            if i == 0 {
+                w &= !0u64 << start_bit;
+            } else if i == words {
+                w &= !(!0u64 << start_bit);
+            }
+            while w != 0 {
+                live.push(((wi << 6) + w.trailing_zeros() as usize) as u32);
+                w &= w - 1;
+            }
+        }
+        live
+    }
+
+    /// The open-loop Bernoulli arrival phase, shared by both engines and
+    /// both switching modes: every source draws once per cycle and, on a
+    /// hit, draws a destination and queues a packet (a TSDT sender
+    /// attaches its tag, or refuses a pair no path connects). Returns
+    /// whether any source queue gained a packet (the event engine arms
+    /// admission on it).
+    ///
+    /// The draw is the integer form of `gen_bool(p)`
+    /// ([`bernoulli_threshold`]: same RNG consumption, same accept set,
+    /// no int-to-float conversion or range check per source). The scan
+    /// runs on a local copy of the generator so its 256-bit state stays
+    /// in registers across the mostly-missing loop instead of
+    /// round-tripping through `self` on every draw; the copy is written
+    /// back once. Nothing inside the loop may draw from `self.rng`: the
+    /// destination draws from the copy and `sender_tag` draws nothing.
+    #[inline]
+    fn open_loop_arrivals(&mut self) -> bool {
+        let threshold = bernoulli_threshold(self.config.offered_load);
+        let size = self.config.size;
+        let mut any = false;
+        let mut rng = self.rng.clone();
+        for s in 0..size.n() {
+            if (rng.next_u64() >> 11) < threshold {
+                let dest = self.pattern.destination(size, s, &mut rng);
+                self.stats.injected += 1;
+                if self.policy == RoutingPolicy::TsdtSender {
+                    // The sender consults the controller's blockage map
+                    // (through the per-source tag cache).
+                    match self.sender_tag(s, dest) {
+                        Some(tag) => {
+                            // A nonzero state word means REROUTE steered
+                            // around at least one blockage.
+                            if tag.state_bits() != 0 {
+                                self.stats.reroutes += 1;
+                            }
+                            self.source_queues[s]
+                                .push_back(Packet::with_tag(dest, self.cycle, tag));
+                            self.source_bits[s >> 6] |= 1u64 << (s & 63);
+                            any = true;
+                        }
+                        // No blockage-free path exists: refused at the
+                        // source.
+                        None => self.stats.refused += 1,
+                    }
+                } else {
+                    self.source_queues[s].push_back(Packet::new(dest, self.cycle));
+                    self.source_bits[s >> 6] |= 1u64 << (s & 63);
+                    any = true;
+                }
+            }
+        }
+        self.rng = rng;
+        any
+    }
+
     /// Runs one cycle: deliver/advance from the last stage backward, then
     /// inject, then sample occupancies.
     pub fn step(&mut self) {
@@ -1508,10 +1609,9 @@ impl Simulator {
         let size = self.config.size;
         let n = size.n();
         let stages = size.stages();
-        // N is a power of two, so the rotating switch scan wraps with a
-        // mask instead of a hardware divide (this runs N * n times per
-        // cycle whether or not any packet moves). The kind rotation is
-        // likewise hoisted out of the scan.
+        // N is a power of two, so the rotating switch offset wraps with a
+        // mask instead of a hardware divide. The kind rotation is hoisted
+        // out of the scan.
         let mask = n - 1;
         let sw_offset = self.cycle as usize & mask;
         let order_offset = (self.cycle % 3) as usize;
@@ -1528,46 +1628,9 @@ impl Simulator {
                 // exist, so the original scan would have decided nothing.
                 continue;
             }
-            // Rotating input priority per receiving switch.
-            self.accepted[..n].fill(0);
             let row = stage * n;
             let exit = stage + 1 == stages;
-            // Gather the busy switches in the same rotated order the
-            // all-switch scan visited them: `sw_offset, .., n-1, 0, ..,
-            // sw_offset-1`, skipping idle ones. Walking set bits with
-            // `trailing_zeros` replaces `N` badly-predicted per-switch
-            // branches with one iteration per busy switch. The set is
-            // fixed for the whole stage scan — only the *current*
-            // switch's load changes while it is being processed.
-            let words = n.div_ceil(64);
-            let wrow = stage * words;
-            let mut live = std::mem::take(&mut self.live_scratch);
-            live.clear();
-            let start_word = sw_offset >> 6;
-            let start_bit = sw_offset & 63;
-            let mut wi = start_word;
-            let mut w = self.switch_bits[wrow + wi] & (!0u64 << start_bit);
-            loop {
-                while w != 0 {
-                    live.push(((wi << 6) + w.trailing_zeros() as usize) as u32);
-                    w &= w - 1;
-                }
-                wi += 1;
-                if wi == words {
-                    break;
-                }
-                w = self.switch_bits[wrow + wi];
-            }
-            for wi in 0..=start_word {
-                let mut w = self.switch_bits[wrow + wi];
-                if wi == start_word {
-                    w &= !(!0u64 << start_bit);
-                }
-                while w != 0 {
-                    live.push(((wi << 6) + w.trailing_zeros() as usize) as u32);
-                    w &= w - 1;
-                }
-            }
+            let live = self.gather_live(stage, sw_offset);
             for &sw_live in &live {
                 let sw = sw_live as usize;
                 let qbase = (row + sw) * 3;
@@ -1652,8 +1715,21 @@ impl Simulator {
                     }
                 }
             }
+            // Rotating input priority per receiving switch: only the
+            // three link targets of a live switch can have accepted a
+            // packet, so zeroing those restores the all-zero array for
+            // the next stage at a cost proportional to the traffic.
+            for &sw in &live {
+                for kind in LinkKind::ALL {
+                    self.accepted[kind.target(size, stage, sw as usize)] = 0;
+                }
+            }
             self.live_scratch = live;
         }
+        debug_assert!(
+            self.accepted.iter().all(|&a| a == 0),
+            "accept counters leaked past their stage"
+        );
         // Source admission: each stage-0 switch takes at most the head of
         // its source queue. Waiting sources are walked via the occupancy
         // bitset (ascending order, same as the old 0..n scan).
@@ -1695,36 +1771,7 @@ impl Simulator {
         if self.workload.is_some() {
             self.workload_arrivals();
         } else {
-            for s in 0..n {
-                if self.rng.gen_bool(self.config.offered_load) {
-                    let dest = self.pattern.destination(size, s, &mut self.rng);
-                    self.stats.injected += 1;
-                    if self.policy == RoutingPolicy::TsdtSender {
-                        // The sender consults the controller's blockage map
-                        // (through the per-source tag cache).
-                        match self.sender_tag(s, dest) {
-                            Some(tag) => {
-                                // A nonzero state word means REROUTE steered
-                                // around at least one blockage.
-                                if tag.state_bits() != 0 {
-                                    self.stats.reroutes += 1;
-                                }
-                                self.source_queues[s]
-                                    .push_back(Packet::with_tag(dest, self.cycle, tag));
-                                self.source_bits[s >> 6] |= 1u64 << (s & 63);
-                            }
-                            None => {
-                                // No blockage-free path exists: refused at the
-                                // source.
-                                self.stats.refused += 1;
-                            }
-                        }
-                    } else {
-                        self.source_queues[s].push_back(Packet::new(dest, self.cycle));
-                        self.source_bits[s >> 6] |= 1u64 << (s & 63);
-                    }
-                }
-            }
+            self.open_loop_arrivals();
         }
         // Occupancy sampling: one shared tick; per-queue sums catch up
         // lazily inside the arena.
@@ -1873,33 +1920,13 @@ impl Simulator {
                 }
             }
         }
-        // New arrivals: identical RNG draw sequence to store-and-forward.
-        for s in 0..n {
-            if self.rng.gen_bool(self.config.offered_load) {
-                let dest = self.pattern.destination(size, s, &mut self.rng);
-                self.stats.injected += 1;
-                self.stats.flits_injected += u64::from(ws.flits);
-                if self.policy == RoutingPolicy::TsdtSender {
-                    match self.sender_tag(s, dest) {
-                        Some(tag) => {
-                            if tag.state_bits() != 0 {
-                                self.stats.reroutes += 1;
-                            }
-                            self.source_queues[s]
-                                .push_back(Packet::with_tag(dest, self.cycle, tag));
-                            self.source_bits[s >> 6] |= 1u64 << (s & 63);
-                        }
-                        None => {
-                            self.stats.refused += 1;
-                            self.stats.flits_refused += u64::from(ws.flits);
-                        }
-                    }
-                } else {
-                    self.source_queues[s].push_back(Packet::new(dest, self.cycle));
-                    self.source_bits[s >> 6] |= 1u64 << (s & 63);
-                }
-            }
-        }
+        // New arrivals: identical RNG draw sequence to store-and-forward;
+        // every packet injected or refused carries its worm's flits.
+        let (injected, refused) = (self.stats.injected, self.stats.refused);
+        self.open_loop_arrivals();
+        let flits = u64::from(ws.flits);
+        self.stats.flits_injected += (self.stats.injected - injected) * flits;
+        self.stats.flits_refused += (self.stats.refused - refused) * flits;
         // Lane-occupancy sampling, mirroring the arena's shared tick.
         ws.reservations.tick();
         self.wormhole = Some(ws);
@@ -1944,7 +1971,7 @@ impl Simulator {
             if let Some(ws) = self.wormhole.as_mut() {
                 ws.reservations.tick();
             } else {
-                ev.active.tick();
+                self.queues.tick();
             }
             self.cycle += 1;
         } else if self.wormhole.is_some() {
@@ -1979,7 +2006,7 @@ impl Simulator {
                 }
             }
         }
-        ev.active.tick();
+        self.queues.tick();
         self.cycle += 1;
     }
 
@@ -2032,11 +2059,12 @@ impl Simulator {
 
     /// [`Simulator::step`]'s per-stage advance, replayed event-style: the
     /// identical rotated live-switch scan, kind rotation, accept limits,
-    /// and decision sequence, against the dense arena. Any packet left in
-    /// the stage (stalled or beyond the accept limit) re-arms the stage
-    /// for the next cycle; any packet moved forward arms the next stage —
-    /// which already fired this cycle (stages advance last-first), so the
-    /// hand-off lands exactly one cycle later, as in the synchronous scan.
+    /// and decision sequence, with its own epoch-stamped accept counters.
+    /// Any packet left in the stage (stalled or beyond the accept limit)
+    /// re-arms the stage for the next cycle; any packet moved forward arms
+    /// the next stage — which already fired this cycle (stages advance
+    /// last-first), so the hand-off lands exactly one cycle later, as in
+    /// the synchronous scan.
     fn event_advance(&mut self, ev: &mut EventState, stage: usize) {
         if self.stage_load[stage] == 0 {
             // The stage drained between scheduling and firing (e.g. a
@@ -2055,68 +2083,19 @@ impl Simulator {
             LinkKind::ALL[(order_offset + 1) % 3],
             LinkKind::ALL[(order_offset + 2) % 3],
         ];
-        // One epoch bump = the synchronous `accepted[..n].fill(0)`.
+        // One epoch bump = a logically zeroed accept array (the
+        // synchronous loop resets the entries its live switches touched).
         ev.epoch += 1;
         let epoch = ev.epoch;
         let row = stage * n;
         let exit = stage + 1 == stages;
-        // Rotated busy-switch gather, identical in output order to the
-        // synchronous scan (see `step`). When the dense arena holds fewer
-        // live queues *network-wide* than this stage's bitmap has words,
-        // walking the arena and sorting by rotated index is cheaper than
-        // scanning the bitmap — that is the event engine's design regime,
-        // a handful of packets on a huge network. Both gathers produce
-        // the busy switches in ascending rotated order, so the decision
-        // sequence (and thus every golden) is unchanged.
-        let words = n.div_ceil(64);
-        let wrow = stage * words;
-        let mut live = std::mem::take(&mut self.live_scratch);
-        live.clear();
-        if ev.active.live_count() <= words {
-            ev.active.for_each_live(|q| {
-                let sw_abs = q as usize / 3;
-                if (row..row + n).contains(&sw_abs) {
-                    live.push((sw_abs - row) as u32);
-                }
-            });
-            // A switch with several live kind-queues appears once per
-            // queue; equal rotated keys sort adjacent, so dedup collapses
-            // them.
-            live.sort_unstable_by_key(|&sw| (sw as usize).wrapping_sub(sw_offset) & mask);
-            live.dedup();
-        } else {
-            let start_word = sw_offset >> 6;
-            let start_bit = sw_offset & 63;
-            let mut wi = start_word;
-            let mut w = self.switch_bits[wrow + wi] & (!0u64 << start_bit);
-            loop {
-                while w != 0 {
-                    live.push(((wi << 6) + w.trailing_zeros() as usize) as u32);
-                    w &= w - 1;
-                }
-                wi += 1;
-                if wi == words {
-                    break;
-                }
-                w = self.switch_bits[wrow + wi];
-            }
-            for wi in 0..=start_word {
-                let mut w = self.switch_bits[wrow + wi];
-                if wi == start_word {
-                    w &= !(!0u64 << start_bit);
-                }
-                while w != 0 {
-                    live.push(((wi << 6) + w.trailing_zeros() as usize) as u32);
-                    w &= w - 1;
-                }
-            }
-        }
+        let live = self.gather_live(stage, sw_offset);
         for &sw_live in &live {
             let sw = sw_live as usize;
             let qbase = (row + sw) * 3;
             let mut kmask = 0u32;
             for (i, kind) in kind_order.iter().enumerate() {
-                kmask |= u32::from(!ev.active.is_empty(qbase + kind.index())) << i;
+                kmask |= u32::from(!self.queues.is_empty(qbase + kind.index())) << i;
             }
             while kmask != 0 {
                 let kind = kind_order[kmask.trailing_zeros() as usize];
@@ -2138,7 +2117,7 @@ impl Simulator {
                 }
                 if exit {
                     ev.accepted[to] = (epoch << 8) | u64::from(count + 1);
-                    let packet = ev.active.pop_carried(q);
+                    let packet = self.queues.pop_carried(q);
                     self.load_dec(stage, sw);
                     self.stage_load[stage] -= 1;
                     if to == packet.dest as usize {
@@ -2157,16 +2136,16 @@ impl Simulator {
                     }
                     continue;
                 }
-                let head = ev.active.head(q).expect("non-empty queue has a head");
+                let head = self.queues.head(q).expect("non-empty queue has a head");
                 let (dest, tag_state) = (head.dest, head.tag_state());
-                match self.decide_active(&ev.active, stage + 1, to, dest, tag_state) {
+                match self.decide(stage + 1, to, dest, tag_state) {
                     Decision::Enqueue(next_kind) => {
-                        let packet = ev.active.pop_carried(q);
+                        let packet = self.queues.pop_carried(q);
                         self.load_dec(stage, sw);
                         self.stage_load[stage] -= 1;
                         let next_q = (row + n + to) * 3 + next_kind.index();
-                        let ok = ev.active.push(next_q, packet);
-                        debug_assert!(ok, "decide_active() guaranteed space");
+                        let ok = self.queues.push(next_q, packet);
+                        debug_assert!(ok, "decide() guaranteed space");
                         self.load_inc(stage + 1, to);
                         self.stage_load[stage + 1] += 1;
                         ev.accepted[to] = (epoch << 8) | u64::from(count + 1);
@@ -2174,7 +2153,7 @@ impl Simulator {
                     }
                     Decision::Stall => {}
                     Decision::Drop => {
-                        let packet = ev.active.pop(q).expect("non-empty queue has a head");
+                        let packet = self.queues.pop(q).expect("non-empty queue has a head");
                         self.load_dec(stage, sw);
                         self.stage_load[stage] -= 1;
                         self.note_drop();
@@ -2214,7 +2193,7 @@ impl Simulator {
                     .front()
                     .expect("source bit set for an empty queue");
                 let (dest, tag_state) = (head.dest, head.tag_state());
-                match self.decide_active(&ev.active, 0, s, dest, tag_state) {
+                match self.decide(0, s, dest, tag_state) {
                     Decision::Enqueue(kind) => {
                         let packet = self.source_queues[s].pop_front().unwrap();
                         if self.source_queues[s].is_empty() {
@@ -2223,8 +2202,8 @@ impl Simulator {
                             left_waiting = true;
                         }
                         let q = self.queue_index(0, s, kind);
-                        let ok = ev.active.push(q, packet);
-                        debug_assert!(ok, "decide_active() guaranteed space");
+                        let ok = self.queues.push(q, packet);
+                        debug_assert!(ok, "decide() guaranteed space");
                         self.load_inc(0, s);
                         self.stage_load[0] += 1;
                         ev.schedule_advance(0, self.cycle + 1);
@@ -2253,53 +2232,12 @@ impl Simulator {
     }
 
     /// [`Simulator::step`]'s arrival phase, replayed event-style: the
-    /// identical Bernoulli draw per source (arrivals fire every cycle of
-    /// the horizon while load is offered — each source consumes one draw
-    /// whether or not a packet arrives, so skipping a cycle would shift
-    /// every later draw). A new waiting source arms admission.
+    /// same [`Simulator::open_loop_arrivals`] scan (arrivals fire every
+    /// cycle of the horizon while load is offered — each source consumes
+    /// one draw whether or not a packet arrives, so skipping a cycle would
+    /// shift every later draw). A new waiting source arms admission.
     fn event_arrivals(&mut self, ev: &mut EventState) {
-        let n = self.config.size.n();
-        let mut any = false;
-        // Integer form of `gen_bool(p)`: the library draw compares
-        // `(next_u64() >> 11) as f64 * 2^-53 < p`, and scaling both sides
-        // by 2^53 (an exact power-of-two multiply) gives the equivalent
-        // integer test `(next_u64() >> 11) < ceil(p * 2^53)` — same RNG
-        // consumption, same accept set, no int-to-float conversion in the
-        // engine's hottest per-source loop.
-        let threshold = (self.config.offered_load * (1u64 << 53) as f64).ceil() as u64;
-        // Run the Bernoulli scan on a local copy of the generator so the
-        // 256-bit state lives in registers across the (overwhelmingly
-        // miss-predicted-false) loop instead of round-tripping through
-        // `self` on every draw; the state is written back below.
-        let mut rng = self.rng.clone();
-        for s in 0..n {
-            if (rng.next_u64() >> 11) < threshold {
-                let dest = self.pattern.destination(self.config.size, s, &mut rng);
-                self.stats.injected += 1;
-                if self.policy == RoutingPolicy::TsdtSender {
-                    match self.sender_tag(s, dest) {
-                        Some(tag) => {
-                            if tag.state_bits() != 0 {
-                                self.stats.reroutes += 1;
-                            }
-                            self.source_queues[s]
-                                .push_back(Packet::with_tag(dest, self.cycle, tag));
-                            self.source_bits[s >> 6] |= 1u64 << (s & 63);
-                            any = true;
-                        }
-                        None => {
-                            self.stats.refused += 1;
-                        }
-                    }
-                } else {
-                    self.source_queues[s].push_back(Packet::new(dest, self.cycle));
-                    self.source_bits[s >> 6] |= 1u64 << (s & 63);
-                    any = true;
-                }
-            }
-        }
-        self.rng = rng;
-        if any {
+        if self.open_loop_arrivals() {
             ev.schedule_admission(self.cycle + 1);
         }
         let next = self.cycle + 1;
@@ -2360,31 +2298,6 @@ impl Simulator {
             ev.workload_sched = due;
             ev.queue.push(due, Event::Arrivals);
         }
-    }
-
-    /// [`Simulator::decide`]'s event-engine twin: the shared
-    /// [`PolicyCtx::decide`] body instantiated with the dense arena in
-    /// place of the flat one.
-    fn decide_active(
-        &mut self,
-        arena: &ActiveArena,
-        stage: usize,
-        sw: usize,
-        dest: u32,
-        tag_state: Option<u32>,
-    ) -> Decision {
-        let mut ctx = PolicyCtx {
-            policy: self.policy,
-            n: self.config.size.n(),
-            dynamic: self.dynamic,
-            blockages: &self.blockages,
-            lut: &self.lut,
-            stats: &mut self.stats,
-            states: &mut self.states,
-            rng: &mut self.rng,
-            sticky: &mut self.sticky,
-        };
-        ctx.decide(arena, stage, sw, dest, tag_state)
     }
 
     /// Drains one flit of worm `id` into its output port, releasing the
@@ -2530,11 +2443,7 @@ impl Simulator {
                 if let Some(ws) = self.wormhole.as_mut() {
                     ws.reservations.fast_forward(span);
                 } else {
-                    self.event
-                        .as_mut()
-                        .expect("run_event without event state")
-                        .active
-                        .fast_forward(span);
+                    self.queues.fast_forward(span);
                 }
                 self.cycle = next;
                 if self.converge_poll() || self.cycle == horizon {
@@ -2582,7 +2491,7 @@ impl Simulator {
 
     /// Finalizes statistics without running further cycles.
     pub fn finish(mut self) -> SimStats {
-        // Fold the workload ledger first: every finisher below consumes
+        // Fold the workload ledger first: the wormhole finisher consumes
         // `self` whole, and the fold only touches `stats.workload`.
         if let Some(wl) = self.workload.take() {
             wl.source.collect(&mut self.stats.workload);
@@ -2592,79 +2501,18 @@ impl Simulator {
             // both engines share — one finisher serves both.
             return self.finish_wormhole();
         }
-        if self.event.is_some() {
-            return self.finish_event();
-        }
-        let mut in_flight: u64 = self.source_queues.iter().map(|q| q.len() as u64).sum();
-        let mut high_water = 0usize;
-        let mut occupancy_sum = 0.0f64;
-        let queue_count = self.queues.queue_count();
-        // Queue order = flat link order = the old (stage, switch, kind)
-        // nesting, so the floating-point fold below matches it exactly.
-        for q in 0..queue_count {
-            in_flight += self.queues.len(q) as u64;
-            high_water = high_water.max(self.queues.high_water(q));
-            occupancy_sum += self.queues.mean_occupancy(q);
-        }
-        // Nonstraight balance per the paper's load-balancing argument.
-        let size = self.config.size;
-        let mut imbalance_sum = 0.0f64;
-        let mut switches_with_traffic = 0usize;
-        let mut max_link_load = 0u64;
-        let mut stage_link_use = vec![0u64; size.stages()];
-        for stage in size.stage_indices() {
-            for sw in size.switches() {
-                let plus = self.queues.carried(Link::plus(stage, sw).flat_index(size));
-                let minus = self.queues.carried(Link::minus(stage, sw).flat_index(size));
-                let straight = self
-                    .queues
-                    .carried(Link::straight(stage, sw).flat_index(size));
-                max_link_load = max_link_load.max(plus).max(minus).max(straight);
-                stage_link_use[stage] += plus + minus + straight;
-                if plus + minus > 0 {
-                    imbalance_sum += (plus.abs_diff(minus)) as f64 / (plus + minus) as f64;
-                    switches_with_traffic += 1;
-                }
-            }
-        }
-        self.stats.stage_link_use = stage_link_use;
-        self.stats.nonstraight_imbalance = if switches_with_traffic == 0 {
-            0.0
-        } else {
-            imbalance_sum / switches_with_traffic as f64
-        };
-        self.stats.max_link_load = max_link_load;
-        self.fold_availability();
-        self.stats.in_flight = in_flight;
-        self.stats.queue_high_water = high_water;
-        self.stats.queue_mean_occupancy = if queue_count == 0 {
-            0.0
-        } else {
-            occupancy_sum / queue_count as f64
-        };
-        self.stats.cycles = self.cycle;
-        self.stats
-    }
-
-    /// Event-engine finisher: [`Simulator::finish`]'s folds verbatim over
-    /// the dense arena. The arena's per-queue integrals are the same
-    /// `u64`s the flat arena accumulates and the fold visits queues in
-    /// the same flat order, so every floating-point result is
-    /// bit-identical.
-    fn finish_event(mut self) -> SimStats {
-        let ev = self.event.take().expect("finish_event without event state");
-        let arena = ev.active;
+        let arena = &self.queues;
         let mut in_flight: u64 = self.source_queues.iter().map(|q| q.len() as u64).sum();
         let mut high_water = 0usize;
         let mut occupancy_sum = 0.0f64;
         let queue_count = arena.queue_count();
         // Fold over the ever-touched queues only, in ascending queue
-        // order. A never-activated queue contributes `0` to the integer
-        // folds and `+0.0` to the occupancy sum — an exact IEEE identity
-        // on these non-negative partial sums — so the result is
-        // byte-identical to the synchronous finisher's full walk while
-        // the work stays proportional to the traffic (the run-long
-        // analogue of the arena's dense working set).
+        // order = flat link order = the (stage, switch, kind) nesting of
+        // a full walk. A never-activated queue contributes `0` to the
+        // integer folds and `+0.0` to the occupancy sum — an exact IEEE
+        // identity on these non-negative partial sums — so the result is
+        // byte-identical to walking all `3 N n` queues while the work
+        // stays proportional to the traffic.
         let mut touched = arena.touched_queues().to_vec();
         touched.sort_unstable();
         for &q in &touched {
@@ -2673,6 +2521,7 @@ impl Simulator {
             high_water = high_water.max(arena.high_water(q));
             occupancy_sum += arena.mean_occupancy(q);
         }
+        // Nonstraight balance per the paper's load-balancing argument.
         let size = self.config.size;
         let n = size.n();
         let mut imbalance_sum = 0.0f64;
@@ -2682,8 +2531,8 @@ impl Simulator {
         // Same sparsity argument per (stage, switch): a switch none of
         // whose three queues was ever activated carried nothing on any
         // link. Queue triples share a switch, and `touched` is sorted,
-        // so `q / 3` dedups to ascending switch order — the synchronous
-        // loop's (stage, sw) visit order.
+        // so `q / 3` dedups to ascending switch order — the full walk's
+        // (stage, sw) visit order.
         let mut sw_ids: Vec<u32> = touched.iter().map(|&q| q / 3).collect();
         sw_ids.dedup();
         for &sw_id in &sw_ids {

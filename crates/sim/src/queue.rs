@@ -1,12 +1,16 @@
-//! The link-buffer arena: every bounded FIFO of the network in one flat
-//! allocation of fixed-capacity ring buffers.
+//! The flat link-buffer arena — every bounded FIFO of the network in one
+//! allocation of fixed-capacity ring buffers — and the wormhole lane
+//! [`ReservationTable`].
 //!
-//! The simulator owns `3 N n` output-link buffers (one per link slot,
-//! indexed exactly like [`iadm_topology::Link::flat_index`]). Keeping
-//! them as one arena instead of nested `Vec`s of `VecDeque`s makes the
-//! steady-state hot path allocation-free: pushes and pops move packets
-//! inside a preallocated slab, and occupancy statistics are maintained
-//! lazily in O(1) per operation instead of O(queues) per cycle. Each
+//! [`QueueArena`] holds all `3 N n` output-link buffers (one per link
+//! slot, indexed exactly like [`iadm_topology::Link::flat_index`]). It
+//! is no longer the simulator's store: the engines keep their buffers in
+//! the dense `ActiveArena`, which stores only the non-empty queues.
+//! `QueueArena` stays as the simple reference model that arena's
+//! equivalence tests compare against, and as a public API that queue
+//! microbenchmarks time. Pushes and pops move packets inside a
+//! preallocated slab, and occupancy statistics are maintained lazily in
+//! O(1) per operation instead of O(queues) per cycle. Each
 //! queue's bookkeeping ([`QueueMeta`]) is one 32-byte record, so a
 //! push/pop touches a single metadata cache line instead of five
 //! parallel arrays. Slot validity is tracked by the ring `len`, not an

@@ -71,24 +71,34 @@ fn timeline(regime: Regime, size: Size, cycles: usize, seed: u64) -> FaultTimeli
     }
 }
 
-/// Runs one grid point on `engine` and renders the full statistics.
-fn stats_json(
+/// Builds one grid point's simulator on `engine` (uniform traffic).
+fn simulator(
     mut config: SimConfig,
     engine: EngineKind,
     policy: RoutingPolicy,
-    mode: SwitchingMode,
     regime: Regime,
-) -> String {
+) -> Simulator {
     config.engine = engine;
-    let stats = Simulator::with_fault_timeline(
+    Simulator::with_fault_timeline(
         config,
         policy,
         TrafficPattern::Uniform,
         BlockageMap::new(config.size),
         timeline(regime, config.size, config.cycles, config.seed),
     )
-    .with_switching_mode(mode)
-    .run();
+}
+
+/// Runs one grid point on `engine` and renders the full statistics.
+fn stats_json(
+    config: SimConfig,
+    engine: EngineKind,
+    policy: RoutingPolicy,
+    mode: SwitchingMode,
+    regime: Regime,
+) -> String {
+    let stats = simulator(config, engine, policy, regime)
+        .with_switching_mode(mode)
+        .run();
     sim_stats_json(&stats).encode()
 }
 
@@ -182,6 +192,48 @@ fn engines_agree_at_low_load_on_large_networks() {
                 mttr: 60,
             },
         );
+    }
+}
+
+#[test]
+fn engines_agree_with_crossbar_switches() {
+    // Crossbar switches accept up to three packets per cycle, so the
+    // accept counters count past 1. The synchronous loop resets only the
+    // counters its live switches touched; the event engine keeps
+    // independent epoch-stamped counters. This grid is where the two
+    // resets meet, fault-free and under churn, at loads where several
+    // packets contend for one switch.
+    for n in [64, 1024] {
+        let config = SimConfig {
+            size: Size::new(n).unwrap(),
+            queue_capacity: 4,
+            cycles: 300,
+            warmup: 60,
+            offered_load: 0.6,
+            seed: 0xC055 ^ n as u64,
+            engine: EngineKind::Synchronous,
+        };
+        for regime in [
+            Regime::FaultFree,
+            Regime::Churn {
+                mtbf: 400,
+                mttr: 80,
+            },
+        ] {
+            for policy in ALL_POLICIES {
+                let [sync, event] =
+                    [EngineKind::Synchronous, EngineKind::EventDriven].map(|engine| {
+                        let stats = simulator(config, engine, policy, regime)
+                            .with_crossbar_switches()
+                            .run();
+                        sim_stats_json(&stats).encode()
+                    });
+                assert_eq!(
+                    sync, event,
+                    "crossbar engines diverged: N={n} {policy:?} {regime:?}"
+                );
+            }
+        }
     }
 }
 

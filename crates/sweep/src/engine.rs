@@ -19,7 +19,10 @@
 //! `debug_assert!(lut.matches(..))` in the simulator and by the
 //! determinism tests).
 
-use crate::spec::{RunSpec, SweepSpec};
+use crate::spec::{
+    arbitration_label, engine_label, mode_label, pattern_label, policy_label, tag_repair_label,
+    RunSpec, SweepSpec,
+};
 use iadm_fault::BlockageMap;
 use iadm_sim::{RouteLut, SimConfig, SimStats, Simulator};
 use std::collections::HashMap;
@@ -201,11 +204,57 @@ pub(crate) struct Completion {
     pub encoded: Option<String>,
 }
 
+/// The ledger every completed run must balance before a campaign records
+/// it — checked in release builds too, so a simulator bug fails the
+/// campaign loudly instead of publishing a wrong number: packet
+/// conservation ([`SimStats::is_conserved`]), no misrouted packet, and
+/// flit conservation on wormhole runs ([`SimStats::flits_conserved`]).
+/// The error names the run's index and labels.
+pub(crate) fn check_ledger(run: &RunSpec, stats: &SimStats) -> Result<(), String> {
+    let broken = if !stats.is_conserved() {
+        format!(
+            "packets not conserved: injected {} != delivered {} + dropped {} + refused {} + in flight {}",
+            stats.injected, stats.delivered, stats.dropped, stats.refused, stats.in_flight
+        )
+    } else if stats.misrouted != 0 {
+        format!("{} packets misrouted", stats.misrouted)
+    } else if !stats.flits_conserved() {
+        format!(
+            "flits not conserved: injected {} != delivered {} + dropped {} + refused {} + in flight {}",
+            stats.flits_injected,
+            stats.flits_delivered,
+            stats.flits_dropped,
+            stats.flits_refused,
+            stats.flits_in_flight
+        )
+    } else {
+        return Ok(());
+    };
+    Err(format!(
+        "run {} (n={} load={} queue={} policy={} pattern={} mode={} workload={} arbitration={} \
+         tag_repair={} engine={} scenario={} seed={}) broke its ledger: {broken}",
+        run.index,
+        run.size.n(),
+        run.offered_load,
+        run.queue_capacity,
+        policy_label(run.policy),
+        pattern_label(&run.pattern),
+        mode_label(run.mode),
+        run.workload.label(),
+        arbitration_label(run.arbitration),
+        tag_repair_label(run.tag_repair),
+        engine_label(run.engine),
+        run.scenario.label(),
+        run.seed,
+    ))
+}
+
 /// Executes `runs[i]` for every `i` in `todo` on `threads` workers,
 /// invoking `deliver` once per run in *completion* order (callers that
 /// need index order reassemble — see the streaming writer). `encode`
-/// asks workers to pre-encode each run's JSON fragment. An error from
-/// `deliver` aborts the pool promptly (workers stop at their next
+/// asks workers to pre-encode each run's JSON fragment. Every run passes
+/// [`check_ledger`] before it is delivered. An error from the check or
+/// from `deliver` aborts the pool promptly (workers stop at their next
 /// completion) and is returned.
 pub(crate) fn execute_pool(
     runs: &[RunSpec],
@@ -216,6 +265,10 @@ pub(crate) fn execute_pool(
     deliver: &mut dyn FnMut(Completion) -> Result<(), String>,
 ) -> Result<(), String> {
     assert!(threads >= 1, "thread count must be at least 1");
+    let mut deliver = |c: Completion| {
+        check_ledger(&runs[c.index], &c.stats)?;
+        deliver(c)
+    };
     let complete = |i: usize| -> Completion {
         let run = &runs[i];
         let shared = base_key(run).and_then(|key| bases.get(&key));
@@ -475,5 +528,43 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, "sink full");
         assert_eq!(delivered, 2, "no deliveries after the error");
+    }
+
+    #[test]
+    fn a_broken_ledger_names_the_run_and_its_labels() {
+        let mut spec = SweepSpec::smoke();
+        spec.modes = vec![iadm_sim::SwitchingMode::Wormhole { flits: 3, lanes: 1 }];
+        let run = &spec.expand().unwrap()[5];
+        let stats = execute_run(run).stats;
+        assert_eq!(check_ledger(run, &stats), Ok(()));
+        let doctored = [
+            (
+                SimStats {
+                    delivered: stats.delivered + 1,
+                    ..stats.clone()
+                },
+                "packets not conserved",
+            ),
+            (
+                SimStats {
+                    misrouted: 1,
+                    ..stats.clone()
+                },
+                "1 packets misrouted",
+            ),
+            (
+                SimStats {
+                    flits_delivered: stats.flits_delivered - 1,
+                    ..stats.clone()
+                },
+                "flits not conserved",
+            ),
+        ];
+        for (bad, what) in doctored {
+            let err = check_ledger(run, &bad).unwrap_err();
+            assert!(err.starts_with("run 5 (n=8 "), "{err}");
+            assert!(err.contains("mode=wormhole:3"), "{err}");
+            assert!(err.contains(what), "{err}");
+        }
     }
 }

@@ -97,12 +97,33 @@ fi
 
 echo "sweep_smoke: engines OK ($(wc -c < "$eng_out") bytes)"
 
+# Sparse large-N engine agreement: 0.8 packets/cycle over N=16384 ports,
+# a size the debug-mode equivalence suite (N <= 1024) never reaches. Both
+# engines must report byte-identical statistics blocks.
+big_out="$(mktemp /tmp/iadm_sweep_big.XXXXXX.json)"
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$big_out"' EXIT
+
+./target/release/iadm-cli sweep --n 16384 --loads 0.000048828125 --cycles 2000 \
+    --engines sync,event --threads 2 --out "$big_out"
+
+blocks="$(grep -o '"stats":{[^}]*}' "$big_out")"
+[ "$(printf '%s\n' "$blocks" | wc -l)" -eq 2 ] || {
+    echo "sweep_smoke: expected two stats blocks in the large-N artifact" >&2
+    exit 1
+}
+[ "$(printf '%s\n' "$blocks" | sort -u | wc -l)" -eq 1 ] || {
+    echo "sweep_smoke: sync and event engines disagree at N=16384" >&2
+    exit 1
+}
+
+echo "sweep_smoke: large-N engine agreement OK ($(wc -c < "$big_out") bytes)"
+
 # Lane smoke (E16-style row): a wormhole campaign across lanes ∈ {1,2,4}
 # must label each lane count distinctly — the multi-lane axis is how the
 # virtual-channel experiments scale, so all three labels must survive the
 # artifact round-trip.
 lanes_out="$(mktemp /tmp/iadm_sweep_lanes.XXXXXX.json)"
-trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$lanes_out"' EXIT
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$big_out" "$lanes_out"' EXIT
 
 ./target/release/iadm-cli sweep --n 8 --loads 0.4 --policies ssdt \
     --cycles 300 --modes wormhole:4,wormhole:4:2,wormhole:4:4 \
@@ -123,7 +144,7 @@ echo "sweep_smoke: lanes {1,2,4} OK ($(wc -c < "$lanes_out") bytes)"
 # `first-free` and `aware` runs stay bare, so every pre-existing artifact
 # keeps its byte encoding (checked against the plain smoke artifact too).
 arb_out="$(mktemp /tmp/iadm_sweep_arb.XXXXXX.json)"
-trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$lanes_out" "$arb_out"' EXIT
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$big_out" "$lanes_out" "$arb_out"' EXIT
 
 ./target/release/iadm-cli sweep --n 8 --loads 0.4 --policies tsdt \
     --cycles 300 --modes wormhole:4:2 \
@@ -156,7 +177,7 @@ echo "sweep_smoke: arbitration+repair OK ($(wc -c < "$arb_out") bytes)"
 # each workload and report the request-latency ledger (issued counts and
 # p99) that only closed-loop runs emit.
 wl_out="$(mktemp /tmp/iadm_sweep_wl.XXXXXX.json)"
-trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$lanes_out" "$arb_out" "$wl_out"' EXIT
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$big_out" "$lanes_out" "$arb_out" "$wl_out"' EXIT
 
 ./target/release/iadm-cli sweep --n 8 --policies ssdt,tsdt \
     --cycles 300 --workloads rr:all:8,flow:4:8:2 --engines sync,event \
@@ -187,7 +208,7 @@ echo "sweep_smoke: closed-loop OK ($(wc -c < "$wl_out") bytes)"
 # run-level recipe, and report a steady-state stop (`converged_at_cycle`)
 # for at least one run; fixed-horizon campaigns never emit either field.
 dc_out="$(mktemp /tmp/iadm_sweep_dc.XXXXXX.json)"
-trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$lanes_out" "$arb_out" "$wl_out" "$dc_out"' EXIT
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$big_out" "$lanes_out" "$arb_out" "$wl_out" "$dc_out"' EXIT
 
 ./target/release/iadm-cli sweep --n 8 --loads 0.4 \
     --policies ssdt,dchoice:2,dchoice:2:sticky --engines sync,event \
@@ -235,7 +256,7 @@ echo "sweep_smoke: unknown-flag rejection OK"
 # processes (each writing a journal) and merged must be byte-identical to
 # the single-process artifact — the distributed-execution contract.
 shard_dir="$(mktemp -d /tmp/iadm_sweep_shard.XXXXXX)"
-trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$lanes_out" "$arb_out" "$wl_out" "$dc_out"; rm -rf "$shard_dir"' EXIT
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$big_out" "$lanes_out" "$arb_out" "$wl_out" "$dc_out"; rm -rf "$shard_dir"' EXIT
 
 ./target/release/iadm-cli sweep --spec smoke --threads 2 \
     --shard 1/2 --journal "$shard_dir/s1.jnl"
