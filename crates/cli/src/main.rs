@@ -17,7 +17,7 @@ use iadm_analysis::{dot, enumerate, oracle, render};
 use iadm_core::route::{trace, trace_tsdt};
 use iadm_core::{reroute::reroute, NetworkState};
 use iadm_fault::{BlockageMap, FaultTimeline};
-use iadm_sim::{run_once, SimConfig, SwitchingMode, TrafficPattern};
+use iadm_sim::{run_once, SimConfig, SimStats, SwitchingMode, TrafficPattern};
 use iadm_topology::{Adm, Gamma, GeneralizedCube, ICube, Iadm, Link, LinkKind, Size};
 use std::process::ExitCode;
 
@@ -508,6 +508,16 @@ fn cmd_simulate(size: Size, args: &Args) -> Result<(), String> {
         }
         sim.run()
     };
+    report_simulation(&stats)
+}
+
+/// Prints a finished run's statistics — after the release-mode ledger
+/// check, so a run that broke its ledger fails with the violated
+/// invariant instead of printing a wrong number.
+fn report_simulation(stats: &SimStats) -> Result<(), String> {
+    if let Some(broken) = iadm_sweep::ledger_violation(stats) {
+        return Err(format!("simulation broke its ledger: {broken}"));
+    }
     println!("cycles          {}", stats.cycles);
     println!("injected        {}", stats.injected);
     println!("delivered       {}", stats.delivered);
@@ -1337,6 +1347,30 @@ mod tests {
             let args: Vec<String> = case.iter().map(|s| s.to_string()).collect();
             run(&args).unwrap_or_else(|e| panic!("{case:?}: {e}"));
         }
+    }
+
+    #[test]
+    fn simulate_rejects_a_run_that_broke_its_ledger() {
+        let stats = SimStats {
+            injected: 10,
+            delivered: 9,
+            ..SimStats::default()
+        };
+        assert_eq!(
+            report_simulation(&stats).unwrap_err(),
+            "simulation broke its ledger: packets not conserved: \
+             injected 10 != delivered 9 + dropped 0 + refused 0 + in flight 0"
+        );
+        let mut stats = SimStats {
+            injected: 10,
+            delivered: 10,
+            ..SimStats::default()
+        };
+        assert_eq!(report_simulation(&stats), Ok(()));
+        stats.workload.issued = 3;
+        stats.workload.completed = 2;
+        let err = report_simulation(&stats).unwrap_err();
+        assert!(err.contains("requests not conserved: issued 3"), "{err}");
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! larger stage, so the loop terminates in at most `n` iterations with
 //! either a blockage-free tag or a proof that none exists.
 
-use crate::backtrack::{backtrack, backtrack_measured, BoundedFail, FailReason};
+use crate::backtrack::{backtrack_measured, BoundedFail, FailReason};
+use crate::connect::route_kind;
 use crate::route::trace_tsdt;
 use crate::tsdt::TsdtTag;
 use core::fmt;
 use iadm_fault::BlockageMap;
-use iadm_topology::Size;
+use iadm_topology::{Link, Size};
 
 /// Error returned by [`reroute`]: no blockage-free path exists between the
 /// source and the destination.
@@ -136,42 +137,14 @@ pub fn reroute_bounded(
     dest: usize,
     max_backtrack: usize,
 ) -> Result<(TsdtTag, usize), BoundedRerouteError> {
-    let mut tag = TsdtTag::new(size, dest);
-    let mut path = trace_tsdt(size, source, &tag);
-    let mut last_resolved: Option<usize> = None;
-    let mut max_used = 0usize;
-    loop {
-        let Some(blocked) = blockages.first_blockage_on(&path) else {
-            return Ok((tag, max_used));
-        };
-        let i = blocked.stage;
-        if let Some(prev) = last_resolved {
-            assert!(i > prev, "bounded REROUTE failed to make progress");
-        }
-        last_resolved = Some(i);
-        let kind = path.kind_at(i);
-        if kind.is_nonstraight() && blockages.is_free(blocked.opposite()) {
-            tag = tag.corollary_4_1(i);
-        } else {
-            match backtrack_measured(blockages, &path, i, tag, max_backtrack) {
-                Ok((new_tag, used)) => {
-                    tag = new_tag;
-                    max_used = max_used.max(used);
-                }
-                Err(BoundedFail::NoPath(reason)) => {
-                    return Err(BoundedRerouteError::NoPath(RerouteError {
-                        reason,
-                        source,
-                        dest,
-                    }))
-                }
-                Err(BoundedFail::BudgetExceeded { needed }) => {
-                    return Err(BoundedRerouteError::BudgetExceeded { needed })
-                }
-            }
-        }
-        path = trace_tsdt(size, source, &tag);
-    }
+    reroute_impl(blockages, source, TsdtTag::new(size, dest), max_backtrack).map_err(|e| match e {
+        BoundedFail::NoPath(reason) => BoundedRerouteError::NoPath(RerouteError {
+            reason,
+            source,
+            dest,
+        }),
+        BoundedFail::BudgetExceeded { needed } => BoundedRerouteError::BudgetExceeded { needed },
+    })
 }
 
 /// Like [`reroute`] but starting from an arbitrary initial tag (step 0 of
@@ -185,18 +158,45 @@ pub fn reroute_from(
     source: usize,
     tag: TsdtTag,
 ) -> Result<TsdtTag, RerouteError> {
+    reroute_impl(blockages, source, tag, usize::MAX)
+        .map(|(tag, _)| tag)
+        .map_err(|e| match e {
+            BoundedFail::NoPath(reason) => RerouteError {
+                reason,
+                source,
+                dest: tag.dest(),
+            },
+            BoundedFail::BudgetExceeded { .. } => {
+                unreachable!("an unbounded budget cannot be exceeded")
+            }
+        })
+}
+
+/// The one REROUTE loop behind [`reroute_from`] (unbounded budget) and
+/// [`reroute_bounded`]. It walks the current tag's path in place, one
+/// [`route_kind`] and one map lookup per stage, so a clean pair costs
+/// `n` lookups and no allocation; only the rare BACKTRACK branch
+/// materializes the [`Path`](iadm_topology::Path) the paper's step 3
+/// reads.
+fn reroute_impl(
+    blockages: &BlockageMap,
+    source: usize,
+    mut tag: TsdtTag,
+    max_backtrack: usize,
+) -> Result<(TsdtTag, usize), BoundedFail> {
     let size = tag.size();
     assert!(source < size.n(), "source {source} out of range for {size}");
-    let mut tag = tag;
-    // Step 4/0: P is the path specified by the current tag.
-    let mut path = trace_tsdt(size, source, &tag);
+    debug_assert_eq!(blockages.size(), size, "blockage map size mismatch");
+    let mut max_used = 0usize;
+    // Where step 1's scan resumes: stage and the path's switch there.
+    let (mut stage, mut sw) = (0, source);
     // Each iteration pushes the first blocked stage strictly higher, so n
     // iterations suffice; the guard detects broken invariants.
     let mut last_resolved: Option<usize> = None;
     loop {
         // Step 1: the smallest blocked stage on P; none means success.
-        let Some(blocked) = blockages.first_blockage_on(&path) else {
-            return Ok(tag);
+        let Some(blocked) = first_blockage(blockages, &tag, stage, sw) else {
+            return Ok((tag, max_used));
         };
         let i = blocked.stage;
         if let Some(prev) = last_resolved {
@@ -207,21 +207,45 @@ pub fn reroute_from(
         }
         last_resolved = Some(i);
 
-        let kind = path.kind_at(i);
-        if kind.is_nonstraight() && blockages.is_free(blocked.opposite()) {
-            // Step 2: single nonstraight blockage -> Corollary 4.1.
+        if blocked.kind.is_nonstraight() && blockages.is_free(blocked.opposite()) {
+            // Step 2: single nonstraight blockage -> Corollary 4.1. The
+            // flip leaves stages 0..i of P alone, so step 4's recomputed
+            // path agrees with P up to the blocked switch: resume there.
             tag = tag.corollary_4_1(i);
+            (stage, sw) = (i, blocked.from);
         } else {
-            // Step 3: straight or double nonstraight -> BACKTRACK.
-            tag = backtrack(blockages, &path, i, tag).map_err(|reason| RerouteError {
-                reason,
-                source,
-                dest: tag.dest(),
-            })?;
+            // Step 3: straight or double nonstraight -> BACKTRACK, which
+            // reads the whole path P.
+            let path = trace_tsdt(size, source, &tag);
+            let (new_tag, used) = backtrack_measured(blockages, &path, i, tag, max_backtrack)?;
+            tag = new_tag;
+            max_used = max_used.max(used);
+            // Step 4: recompute the rerouting path from the source.
+            (stage, sw) = (0, source);
         }
-        // Step 4: recompute the rerouting path and iterate.
-        path = trace_tsdt(size, source, &tag);
     }
+}
+
+/// The lowest-stage blocked link on the path `tag` specifies, scanned
+/// from `stage` onward, where `sw` is the path's switch at `stage`.
+#[inline]
+fn first_blockage(
+    blockages: &BlockageMap,
+    tag: &TsdtTag,
+    mut stage: usize,
+    mut sw: usize,
+) -> Option<Link> {
+    let size = tag.size();
+    while stage < size.stages() {
+        let kind = route_kind(sw, stage, tag.dest_bit(stage), tag.switch_state(stage));
+        let link = Link::new(stage, sw, kind);
+        if blockages.is_blocked(link) {
+            return Some(link);
+        }
+        sw = kind.target(size, stage, sw);
+        stage += 1;
+    }
+    None
 }
 
 #[cfg(test)]

@@ -60,14 +60,26 @@ pub fn random_faults<R: Rng>(
     count: usize,
     filter: KindFilter,
 ) -> BlockageMap {
-    let mut links = candidate_links(size, filter);
+    // The candidates as flat link indices, in `candidate_links` order
+    // (ascending flat index is the same (stage, switch, kind) nesting):
+    // `shuffle` draws the same numbers for any element type, and 4-byte
+    // indices shuffle faster than 24-byte links.
+    let slots = u32::try_from(Link::slot_count(size)).expect("link slots exceed u32 indices");
+    let mut links: Vec<u32> = (0..slots)
+        .filter(|&i| filter.admits(LinkKind::from_index(i as usize % 3)))
+        .collect();
     assert!(
         count <= links.len(),
         "requested {count} faults but only {} candidate links",
         links.len()
     );
     links.shuffle(rng);
-    BlockageMap::from_links(size, links.into_iter().take(count))
+    BlockageMap::from_links(
+        size,
+        links[..count]
+            .iter()
+            .map(|&i| Link::from_flat_index(size, i as usize)),
+    )
 }
 
 /// Blocks each admissible link independently with probability `p`.

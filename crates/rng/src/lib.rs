@@ -116,11 +116,14 @@ pub trait Rng: RngCore {
     fn gen_range(&mut self, range: Range<usize>) -> usize {
         assert!(range.start < range.end, "gen_range on empty range");
         let span = (range.end - range.start) as u64;
-        // Debiased integer multiplication: reject the short low slice.
-        let threshold = span.wrapping_neg() % span;
+        // Debiased integer multiplication (Lemire): reject a draw whose
+        // low product word falls below `2^64 mod span`. That threshold is
+        // below `span`, so a low word `>= span` accepts without the
+        // division; the accept set and the draws consumed are the same.
         loop {
             let m = u128::from(self.next_u64()) * u128::from(span);
-            if (m as u64) >= threshold {
+            let low = m as u64;
+            if low >= span || low >= span.wrapping_neg() % span {
                 return range.start + (m >> 64) as usize;
             }
         }

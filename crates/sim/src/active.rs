@@ -69,15 +69,12 @@ pub struct ActiveArena {
     total_high: Vec<u16>,
     /// Per-queue carried count from completed episodes.
     total_carried: Vec<u64>,
-    /// Queue indices that have ever been activated, in first-activation
-    /// order (deduplicated via `ever`). The end-of-run statistics folds
-    /// visit only these: a never-activated queue contributes exactly
-    /// `0`/`0.0` to every fold, so skipping it is byte-identical — and
-    /// it keeps the finisher proportional to the traffic, not the
-    /// network.
-    touched: Vec<u32>,
-    /// Has queue `q` ever been activated?
-    ever: Vec<bool>,
+    /// One bit per queue: has queue `q` ever been activated? The
+    /// end-of-run statistics folds visit only these queues: a
+    /// never-activated queue contributes exactly `0`/`0.0` to every
+    /// fold, so skipping it is byte-identical — and it keeps the
+    /// finisher proportional to the traffic plus one bit per queue.
+    ever: Vec<u64>,
     /// Shared sample counter (one tick per simulated cycle).
     samples: u64,
 }
@@ -104,8 +101,7 @@ impl ActiveArena {
             total_sum: vec![0; queues],
             total_high: vec![0; queues],
             total_carried: vec![0; queues],
-            touched: Vec::new(),
-            ever: vec![false; queues],
+            ever: vec![0; queues.div_ceil(64)],
             samples: 0,
         }
     }
@@ -155,10 +151,7 @@ impl ActiveArena {
     /// the current sample count with a zero sum.
     #[inline]
     fn activate(&mut self, q: usize) -> usize {
-        if !self.ever[q] {
-            self.ever[q] = true;
-            self.touched.push(q as u32);
-        }
+        self.ever[q >> 6] |= 1 << (q & 63);
         let slot = match self.free.pop() {
             Some(slot) => slot as usize,
             None => {
@@ -287,11 +280,16 @@ impl ActiveArena {
         }
     }
 
-    /// Queue indices ever activated, in first-activation order (each
-    /// exactly once). Every queue with a non-zero statistic is in here;
-    /// callers that need ascending order must sort.
-    pub fn touched_queues(&self) -> &[u32] {
-        &self.touched
+    /// Calls `f` with every queue index ever activated, in ascending
+    /// order. Every queue with a non-zero statistic is among them.
+    pub fn for_each_touched(&self, mut f: impl FnMut(usize)) {
+        for (w, &word) in self.ever.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(w << 6 | bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Number of live (non-empty) queues across the whole arena.
@@ -484,6 +482,18 @@ mod tests {
                 "queue {q} mean occupancy diverged: {fm} vs {dm}"
             );
         }
+    }
+
+    #[test]
+    fn touched_queues_are_visited_once_in_ascending_order() {
+        let mut a = ActiveArena::new(200, 2);
+        for q in [130, 7, 64, 63, 7, 199, 0] {
+            a.push(q, pkt(1));
+            a.pop(q);
+        }
+        let mut seen = Vec::new();
+        a.for_each_touched(|q| seen.push(q));
+        assert_eq!(seen, [0, 7, 63, 64, 130, 199]);
     }
 
     #[test]

@@ -571,25 +571,33 @@ struct TagCache {
     /// Cache lines per source (a power of two; 0 when the cache is off).
     slots: usize,
     /// The current blockage-map version; lines from older epochs miss.
-    epoch: u64,
+    epoch: u32,
     /// The current repair version; lines from older repair epochs miss
     /// when their outcome could have improved. Frozen under
     /// [`TagRepair::Blind`].
-    repair_epoch: u64,
+    repair_epoch: u32,
     /// Whether repair events advance `repair_epoch`.
     repair: TagRepair,
-    /// `sources * slots` lines; `None` = cold line.
-    lines: Vec<Option<TagLine>>,
+    /// `sources * slots` lines, allocated zeroed (all cold) so the pages
+    /// of lines a run never touches are never faulted in.
+    lines: Vec<TagLine>,
 }
 
-/// One occupied [`TagCache`] line: `(dest, epoch, repair_epoch, outcome)`,
-/// where a `None` outcome is a cached refusal (provably disconnected).
-type TagLine = (u32, u64, u64, Option<TsdtTag>);
+/// One 16-byte [`TagCache`] line: `[dest + 1, epoch, repair_epoch,
+/// word]`. `dest + 1 == 0` marks a cold line, so the all-zero page is a
+/// valid empty cache. `word` is the REROUTE outcome: the tag's state
+/// bits, or [`TagCache::REFUSED`] for a cached refusal (provably
+/// disconnected). The epochs are exact `u32`s because each advances at
+/// most once per timeline event, and the simulator admits fewer than
+/// 2^32 events (DESIGN.md §13).
+type TagLine = [u32; 4];
 
 /// One [`TagCache::lookup`] result.
+#[derive(Debug, PartialEq, Eq)]
 enum Lookup {
-    /// The line holds a valid outcome for this `(source, dest)` pair.
-    Hit(Option<TsdtTag>),
+    /// The line holds a valid outcome for this `(source, dest)` pair:
+    /// the tag's state bits, or `None` for a cached refusal.
+    Hit(Option<u32>),
     /// Cold line, conflicting destination, or a superseded map epoch.
     Miss,
     /// The line's refusal or bent tag predates a repair that could have
@@ -603,14 +611,22 @@ impl TagCache {
     /// capped so large networks stay at a few MiB.
     const MAX_SLOTS: usize = 256;
 
+    /// The outcome word of a cached refusal. A state word has one bit per
+    /// stage and the cache serves at most 31 stages, so it is never a tag.
+    const REFUSED: u32 = u32::MAX;
+
     fn new(size: Size) -> Self {
+        assert!(
+            size.stages() < 32,
+            "the tag cache stores destinations and state words in 32 bits"
+        );
         let slots = size.n().min(Self::MAX_SLOTS);
         TagCache {
             slots,
             epoch: 0,
             repair_epoch: 0,
             repair: TagRepair::default(),
-            lines: vec![None; size.n() * slots],
+            lines: vec![[0u32; 4]; size.n() * slots],
         }
     }
 
@@ -632,28 +648,25 @@ impl TagCache {
 
     #[inline]
     fn lookup(&self, source: usize, dest: usize) -> Lookup {
-        match self.lines[self.line(source, dest)] {
-            Some((d, epoch, repaired, outcome)) if d as usize == dest && epoch == self.epoch => {
-                // A clean tag (zero state bits) pins the blockage-free
-                // all-C path REROUTE starts from; no amount of repair
-                // changes what it would recompute. Anything else could
-                // improve under a wider map.
-                if repaired == self.repair_epoch
-                    || matches!(outcome, Some(tag) if tag.state_bits() == 0)
-                {
-                    Lookup::Hit(outcome)
-                } else {
-                    Lookup::RepairStale
-                }
-            }
-            _ => Lookup::Miss,
+        let [key, epoch, repaired, word] = self.lines[self.line(source, dest)];
+        if key != dest as u32 + 1 || epoch != self.epoch {
+            return Lookup::Miss;
+        }
+        // A clean tag (zero state bits) pins the blockage-free all-C path
+        // REROUTE starts from; no amount of repair changes what it would
+        // recompute. Anything else could improve under a wider map.
+        if repaired == self.repair_epoch || word == 0 {
+            Lookup::Hit((word != Self::REFUSED).then_some(word))
+        } else {
+            Lookup::RepairStale
         }
     }
 
     #[inline]
     fn put(&mut self, source: usize, dest: usize, outcome: Option<TsdtTag>) {
         let line = self.line(source, dest);
-        self.lines[line] = Some((dest as u32, self.epoch, self.repair_epoch, outcome));
+        let word = outcome.map_or(Self::REFUSED, |tag| tag.state_bits() as u32);
+        self.lines[line] = [dest as u32 + 1, self.epoch, self.repair_epoch, word];
     }
 
     /// Invalidates every line by advancing the map epoch — called when a
@@ -929,8 +942,9 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if [`SimConfig::validate`] fails, or if the blockage map,
-    /// table or timeline is for a different size. In debug builds,
+    /// Panics if [`SimConfig::validate`] fails, if the blockage map,
+    /// table or timeline is for a different size, or if the timeline has
+    /// 2^32 or more events. In debug builds,
     /// additionally panics unless `lut` matches a fresh build against
     /// `blockages` (the sharing contract).
     pub fn with_shared_lut(
@@ -952,6 +966,13 @@ impl Simulator {
         );
         assert_eq!(blockages.size(), config.size, "blockage map size mismatch");
         assert_eq!(timeline.size(), config.size, "fault timeline size mismatch");
+        // The tag cache's u32 epochs advance at most once per event.
+        assert!(
+            u32::try_from(timeline.events().len()).is_ok(),
+            "fault timeline has {} events; at most {} are supported",
+            timeline.events().len(),
+            u32::MAX
+        );
         let size = config.size;
         let dynamic = !timeline.is_empty();
         let outage_slots = if dynamic { Link::slot_count(size) } else { 0 };
@@ -1437,13 +1458,15 @@ impl Simulator {
     /// line. A miss caused purely by an intervening link repair is the
     /// repair-aware re-tag path, counted in `retags_on_repair`.
     fn sender_tag(&mut self, source: usize, dest: usize) -> Option<TsdtTag> {
+        let size = self.config.size;
         match self.tag_cache.lookup(source, dest) {
-            Lookup::Hit(outcome) => return outcome,
+            Lookup::Hit(word) => {
+                return word.map(|state| TsdtTag::with_state(size, dest, state as usize))
+            }
             Lookup::Miss => {}
             Lookup::RepairStale => self.stats.retags_on_repair += 1,
         }
-        let outcome =
-            iadm_core::reroute::reroute(self.config.size, &self.blockages, source, dest).ok();
+        let outcome = iadm_core::reroute::reroute(size, &self.blockages, source, dest).ok();
         self.tag_cache.put(source, dest, outcome);
         outcome
     }
@@ -2506,21 +2529,6 @@ impl Simulator {
         let mut high_water = 0usize;
         let mut occupancy_sum = 0.0f64;
         let queue_count = arena.queue_count();
-        // Fold over the ever-touched queues only, in ascending queue
-        // order = flat link order = the (stage, switch, kind) nesting of
-        // a full walk. A never-activated queue contributes `0` to the
-        // integer folds and `+0.0` to the occupancy sum — an exact IEEE
-        // identity on these non-negative partial sums — so the result is
-        // byte-identical to walking all `3 N n` queues while the work
-        // stays proportional to the traffic.
-        let mut touched = arena.touched_queues().to_vec();
-        touched.sort_unstable();
-        for &q in &touched {
-            let q = q as usize;
-            in_flight += arena.len(q) as u64;
-            high_water = high_water.max(arena.high_water(q));
-            occupancy_sum += arena.mean_occupancy(q);
-        }
         // Nonstraight balance per the paper's load-balancing argument.
         let size = self.config.size;
         let n = size.n();
@@ -2528,16 +2536,27 @@ impl Simulator {
         let mut switches_with_traffic = 0usize;
         let mut max_link_load = 0u64;
         let mut stage_link_use = vec![0u64; size.stages()];
-        // Same sparsity argument per (stage, switch): a switch none of
-        // whose three queues was ever activated carried nothing on any
-        // link. Queue triples share a switch, and `touched` is sorted,
-        // so `q / 3` dedups to ascending switch order — the full walk's
-        // (stage, sw) visit order.
-        let mut sw_ids: Vec<u32> = touched.iter().map(|&q| q / 3).collect();
-        sw_ids.dedup();
-        for &sw_id in &sw_ids {
-            let stage = sw_id as usize / n;
-            let sw = sw_id as usize % n;
+        // Fold over the ever-touched queues only, in ascending queue
+        // order = flat link order = the (stage, switch, kind) nesting of
+        // a full walk. A never-activated queue contributes `0` to the
+        // integer folds and `+0.0` to the occupancy sum — an exact IEEE
+        // identity on these non-negative partial sums — so the result is
+        // byte-identical to walking all `3 N n` queues while the work
+        // stays proportional to the traffic. The same sparsity argument
+        // holds per (stage, switch): a switch none of whose three queues
+        // was ever activated carried nothing on any link, and ascending
+        // queues give `q / 3` in the full walk's (stage, sw) order.
+        let mut last_sw_id = usize::MAX;
+        arena.for_each_touched(|q| {
+            in_flight += arena.len(q) as u64;
+            high_water = high_water.max(arena.high_water(q));
+            occupancy_sum += arena.mean_occupancy(q);
+            let sw_id = q / 3;
+            if sw_id == last_sw_id {
+                return;
+            }
+            last_sw_id = sw_id;
+            let (stage, sw) = (sw_id / n, sw_id % n);
             let plus = arena.carried(Link::plus(stage, sw).flat_index(size));
             let minus = arena.carried(Link::minus(stage, sw).flat_index(size));
             let straight = arena.carried(Link::straight(stage, sw).flat_index(size));
@@ -2547,7 +2566,7 @@ impl Simulator {
                 imbalance_sum += (plus.abs_diff(minus)) as f64 / (plus + minus) as f64;
                 switches_with_traffic += 1;
             }
-        }
+        });
         self.stats.stage_link_use = stage_link_use;
         self.stats.nonstraight_imbalance = if switches_with_traffic == 0 {
             0.0
@@ -3101,6 +3120,50 @@ mod tsdt_sender_tests {
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.latency_sum, b.latency_sum);
         assert_eq!(a.dropped, 0);
+    }
+
+    #[test]
+    fn tag_cache_lines_round_trip_every_outcome() {
+        let size = Size::new(16).unwrap();
+        let mut cache = TagCache::new(size);
+        assert_eq!(cache.lookup(3, 9), Lookup::Miss, "a zeroed line is cold");
+        let outcomes = [
+            (0, None),
+            (9, Some(TsdtTag::new(size, 9))),
+            (15, Some(TsdtTag::with_state(size, 15, 0b1011))),
+        ];
+        for &(dest, outcome) in &outcomes {
+            cache.put(3, dest, outcome);
+        }
+        for &(dest, outcome) in &outcomes {
+            assert_eq!(
+                cache.lookup(3, dest),
+                Lookup::Hit(outcome.map(|tag| tag.state_bits() as u32))
+            );
+        }
+        assert_eq!(cache.lookup(4, 9), Lookup::Miss, "other sources stay cold");
+        // A repair leaves the clean tag valid and stales the others.
+        cache.note_repair();
+        assert_eq!(cache.lookup(3, 0), Lookup::RepairStale);
+        assert_eq!(cache.lookup(3, 9), Lookup::Hit(Some(0)));
+        assert_eq!(cache.lookup(3, 15), Lookup::RepairStale);
+        cache.invalidate_all();
+        assert_eq!(cache.lookup(3, 9), Lookup::Miss);
+
+        // The widest state word the cache serves (31 stages, all bent)
+        // is still distinct from the refusal sentinel. One line stands
+        // in for the 2^31-source table.
+        let wide = Size::from_stages(31);
+        let top = wide.n() - 1;
+        let mut cache = TagCache {
+            slots: 1,
+            lines: vec![[0; 4]],
+            ..TagCache::off()
+        };
+        cache.put(0, top, Some(TsdtTag::with_state(wide, top, top)));
+        assert_eq!(cache.lookup(0, top), Lookup::Hit(Some(top as u32)));
+        cache.put(0, top, None);
+        assert_eq!(cache.lookup(0, top), Lookup::Hit(None));
     }
 
     #[test]

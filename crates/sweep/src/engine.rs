@@ -204,14 +204,16 @@ pub(crate) struct Completion {
     pub encoded: Option<String>,
 }
 
-/// The ledger every completed run must balance before a campaign records
-/// it — checked in release builds too, so a simulator bug fails the
-/// campaign loudly instead of publishing a wrong number: packet
-/// conservation ([`SimStats::is_conserved`]), no misrouted packet, and
-/// flit conservation on wormhole runs ([`SimStats::flits_conserved`]).
-/// The error names the run's index and labels.
-pub(crate) fn check_ledger(run: &RunSpec, stats: &SimStats) -> Result<(), String> {
-    let broken = if !stats.is_conserved() {
+/// The ledger every completed run must balance, checked in release
+/// builds too so a simulator bug fails loudly instead of publishing a
+/// wrong number: packet conservation ([`SimStats::is_conserved`]), no
+/// misrouted packet, flit conservation on wormhole runs
+/// ([`SimStats::flits_conserved`]), and request conservation on
+/// closed-loop runs ([`iadm_sim::WorkloadStats::is_conserved`]).
+/// Returns a description of the first invariant `stats` breaks.
+pub fn ledger_violation(stats: &SimStats) -> Option<String> {
+    let wl = &stats.workload;
+    Some(if !stats.is_conserved() {
         format!(
             "packets not conserved: injected {} != delivered {} + dropped {} + refused {} + in flight {}",
             stats.injected, stats.delivered, stats.dropped, stats.refused, stats.in_flight
@@ -227,7 +229,21 @@ pub(crate) fn check_ledger(run: &RunSpec, stats: &SimStats) -> Result<(), String
             stats.flits_refused,
             stats.flits_in_flight
         )
+    } else if !wl.is_conserved() {
+        format!(
+            "requests not conserved: issued {} != completed {} + aborted {} + live {}",
+            wl.issued, wl.completed, wl.aborted, wl.live
+        )
     } else {
+        return None;
+    })
+}
+
+/// [`ledger_violation`] for one campaign run: every completed run must
+/// balance before the campaign records it. The error names the run's
+/// index and labels.
+pub(crate) fn check_ledger(run: &RunSpec, stats: &SimStats) -> Result<(), String> {
+    let Some(broken) = ledger_violation(stats) else {
         return Ok(());
     };
     Err(format!(
@@ -566,5 +582,31 @@ mod tests {
             assert!(err.contains("mode=wormhole:3"), "{err}");
             assert!(err.contains(what), "{err}");
         }
+    }
+
+    #[test]
+    fn a_broken_request_ledger_is_caught() {
+        let mut spec = SweepSpec::smoke();
+        spec.workloads = vec![iadm_sim::WorkloadSpec::parse("rr:4:8").unwrap()];
+        spec.loads = vec![0.0];
+        let run = &spec.expand().unwrap()[0];
+        let stats = execute_run(run).stats;
+        assert!(stats.workload.issued > 0, "the closed loop issued requests");
+        assert_eq!(check_ledger(run, &stats), Ok(()));
+        let mut bad = stats.clone();
+        bad.workload.completed += 1;
+        assert_eq!(
+            ledger_violation(&bad).unwrap(),
+            format!(
+                "requests not conserved: issued {} != completed {} + aborted {} + live {}",
+                bad.workload.issued,
+                bad.workload.completed,
+                bad.workload.aborted,
+                bad.workload.live
+            )
+        );
+        let err = check_ledger(run, &bad).unwrap_err();
+        assert!(err.contains("workload=rr:4:8"), "{err}");
+        assert!(err.contains("requests not conserved"), "{err}");
     }
 }

@@ -65,8 +65,8 @@ mod spec;
 mod stream;
 
 pub use engine::{
-    build_shared_bases, execute_run, run_campaign, CampaignResult, RunBases, RunRecord,
-    FAULT_SEED_STREAM, TIMELINE_SEED_STREAM, WORKLOAD_SEED_STREAM,
+    build_shared_bases, execute_run, ledger_violation, run_campaign, CampaignResult, RunBases,
+    RunRecord, FAULT_SEED_STREAM, TIMELINE_SEED_STREAM, WORKLOAD_SEED_STREAM,
 };
 pub use report::{campaign_json, pivot_table, summary_table};
 pub use spec::{

@@ -160,6 +160,17 @@ impl Link {
         (self.stage * size.n() + self.from) * 3 + self.kind.index()
     }
 
+    /// Inverse of [`Link::flat_index`].
+    #[inline]
+    pub fn from_flat_index(size: Size, index: usize) -> Self {
+        let switch = index / 3;
+        Link::new(
+            switch / size.n(),
+            switch % size.n(),
+            LinkKind::from_index(index % 3),
+        )
+    }
+
     /// Total number of link slots for `size`: `3 * N * n`.
     #[inline]
     pub fn slot_count(size: Size) -> usize {
@@ -236,8 +247,10 @@ mod tests {
         for stage in s.stage_indices() {
             for from in s.switches() {
                 for kind in LinkKind::ALL {
-                    let idx = Link::new(stage, from, kind).flat_index(s);
+                    let link = Link::new(stage, from, kind);
+                    let idx = link.flat_index(s);
                     assert!(!seen[idx], "duplicate index {idx}");
+                    assert_eq!(Link::from_flat_index(s, idx), link);
                     seen[idx] = true;
                 }
             }

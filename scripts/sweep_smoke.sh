@@ -173,11 +173,40 @@ fi
 
 echo "sweep_smoke: arbitration+repair OK ($(wc -c < "$arb_out") bytes)"
 
+# Repair-aware TSDT at N=256: a 64-link outage repaired mid-run. Every
+# repair-aware run must count its repair re-tags (`retags_on_repair`);
+# every blind run must carry the `tag_repair` label and never re-tag on a
+# repair.
+rep_out="$(mktemp /tmp/iadm_sweep_rep.XXXXXX.json)"
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$big_out" "$lanes_out" "$arb_out" "$rep_out"' EXIT
+
+./target/release/iadm-cli sweep --n 256 --loads 0.2,0.4 --policies tsdt \
+    --cycles 1000 --faults outage:64:200:500 --repairs aware,blind \
+    --threads 2 --out "$rep_out"
+
+rows="$(grep -o '{"index":[^{]*"stats":{[^}]*}}' "$rep_out")"
+aware="$(printf '%s\n' "$rows" | grep -v '"tag_repair"' || true)"
+blind="$(printf '%s\n' "$rows" | grep '"tag_repair":"blind"' || true)"
+[ "$(printf '%s\n' "$aware" | grep -c '"retags_on_repair":[1-9]')" -eq 2 ] || {
+    echo "sweep_smoke: repair-aware TSDT rows must report retags_on_repair" >&2
+    exit 1
+}
+[ "$(printf '%s\n' "$blind" | grep -c .)" -eq 2 ] || {
+    echo "sweep_smoke: blind TSDT rows must carry the tag_repair field" >&2
+    exit 1
+}
+if printf '%s\n' "$blind" | grep -q '"retags_on_repair"'; then
+    echo "sweep_smoke: blind TSDT rows must not re-tag on repair" >&2
+    exit 1
+fi
+
+echo "sweep_smoke: TSDT repair re-tags OK ($(wc -c < "$rep_out") bytes)"
+
 # Closed-loop smoke: a tiny request/response + flow campaign must label
 # each workload and report the request-latency ledger (issued counts and
 # p99) that only closed-loop runs emit.
 wl_out="$(mktemp /tmp/iadm_sweep_wl.XXXXXX.json)"
-trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$big_out" "$lanes_out" "$arb_out" "$wl_out"' EXIT
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$big_out" "$lanes_out" "$arb_out" "$rep_out" "$wl_out"' EXIT
 
 ./target/release/iadm-cli sweep --n 8 --policies ssdt,tsdt \
     --cycles 300 --workloads rr:all:8,flow:4:8:2 --engines sync,event \
@@ -208,7 +237,7 @@ echo "sweep_smoke: closed-loop OK ($(wc -c < "$wl_out") bytes)"
 # run-level recipe, and report a steady-state stop (`converged_at_cycle`)
 # for at least one run; fixed-horizon campaigns never emit either field.
 dc_out="$(mktemp /tmp/iadm_sweep_dc.XXXXXX.json)"
-trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$big_out" "$lanes_out" "$arb_out" "$wl_out" "$dc_out"' EXIT
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$big_out" "$lanes_out" "$arb_out" "$rep_out" "$wl_out" "$dc_out"' EXIT
 
 ./target/release/iadm-cli sweep --n 8 --loads 0.4 \
     --policies ssdt,dchoice:2,dchoice:2:sticky --engines sync,event \
@@ -256,7 +285,7 @@ echo "sweep_smoke: unknown-flag rejection OK"
 # processes (each writing a journal) and merged must be byte-identical to
 # the single-process artifact — the distributed-execution contract.
 shard_dir="$(mktemp -d /tmp/iadm_sweep_shard.XXXXXX)"
-trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$big_out" "$lanes_out" "$arb_out" "$wl_out" "$dc_out"; rm -rf "$shard_dir"' EXIT
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$big_out" "$lanes_out" "$arb_out" "$rep_out" "$wl_out" "$dc_out"; rm -rf "$shard_dir"' EXIT
 
 ./target/release/iadm-cli sweep --spec smoke --threads 2 \
     --shard 1/2 --journal "$shard_dir/s1.jnl"
